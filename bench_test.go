@@ -436,9 +436,11 @@ func BenchmarkSession_GetTSBatch(b *testing.B) {
 }
 
 // Ablation — the line-13 scan's equality strategy: the paper's
-// value-equality double collect (sound by Claim 6.1(b)) vs the
-// version-stamped variant (sound universally). Same behaviour, different
-// equality cost.
+// value-equality double collect (sound by Claim 6.1(b)), which tests
+// pointer identity first and falls back to reflect.DeepEqual only when the
+// words differ, vs the version-stamped variant (sound universally). Same
+// behaviour and register accesses, one allocation per scan each; what
+// differs is the per-register equality test.
 func BenchmarkAblationScan(b *testing.B) {
 	for _, versioned := range []bool{false, true} {
 		name := "value-equality"

@@ -290,3 +290,164 @@ func (m *volatileMem) Read(int) register.Value {
 	return m.n.Add(1)
 }
 func (m *volatileMem) Write(int, register.Value) {}
+
+// freshMem returns a new allocation on every read of a register, each
+// with the same contents: no two reads are identical words, so every
+// comparison of a double collect falls through to reflect.DeepEqual.
+type freshMem struct {
+	size  int
+	reads int
+	value func(i int) register.Value
+}
+
+func (m *freshMem) Size() int { return m.size }
+func (m *freshMem) Read(i int) register.Value {
+	m.reads++
+	return m.value(i)
+}
+func (m *freshMem) Write(int, register.Value) {}
+
+type pair struct{ a, b int }
+
+// Distinct pointers with equal contents compare equal, as under
+// reflect.DeepEqual: a quiescent scan of such a memory succeeds on its
+// second collect.
+func TestScanEqualContentsDistinctPointers(t *testing.T) {
+	mem := &freshMem{size: 3, value: func(i int) register.Value { return &pair{i, i + 1} }}
+	view, err := Scan(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mem.reads != 2*mem.size {
+		t.Errorf("scan read %d registers, want one double collect (%d)", mem.reads, 2*mem.size)
+	}
+	if got := *view[2].(*pair); got != (pair{2, 3}) {
+		t.Errorf("view[2] = %v", got)
+	}
+	if !valueEqual(&pair{1, 2}, &pair{1, 2}) || valueEqual(&pair{1, 2}, &pair{1, 3}) {
+		t.Error("valueEqual must follow reflect.DeepEqual on distinct pointers")
+	}
+}
+
+// Slices are not comparable with ==; both the identity test (same slice
+// read twice) and the DeepEqual fallback (a fresh equal slice per read)
+// must handle them without panicking.
+func TestScanNonComparableValues(t *testing.T) {
+	shared := []int{4, 5}
+	for name, mem := range map[string]*freshMem{
+		"same slice":  {size: 2, value: func(int) register.Value { return shared }},
+		"fresh slice": {size: 2, value: func(int) register.Value { return []int{4, 5} }},
+		"map":         {size: 2, value: func(int) register.Value { return map[string]int{"k": 1} }},
+	} {
+		view, err := Scan(mem)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if mem.reads != 2*mem.size {
+			t.Errorf("%s: scan read %d registers, want %d", name, mem.reads, 2*mem.size)
+		}
+		if view[1] == nil {
+			t.Errorf("%s: view[1] is ⊥", name)
+		}
+	}
+	if valueEqual([]int{1}, []int{2}) || valueEqual([]int{1}, nil) || valueEqual(nil, []int{1}) {
+		t.Error("unequal slices or slice vs ⊥ compared equal")
+	}
+}
+
+// A value reflect.DeepEqual finds unequal to itself (a func) is still the
+// same word on every read, so the identity test lets the scan finish
+// where a DeepEqual-only comparison would livelock.
+func TestScanSelfUnequalValue(t *testing.T) {
+	mem := register.NewAtomicArray(2)
+	mem.Write(0, func() {})
+	if _, err := Scan(mem); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rewriteMem performs one write to register reg just after the read with
+// the given 1-based index, so the write lands between two collects or
+// inside one.
+type rewriteMem struct {
+	*register.AtomicArray
+	reads, after, reg int
+	val               register.Value
+}
+
+func (m *rewriteMem) Read(i int) register.Value {
+	v := m.AtomicArray.Read(i)
+	m.reads++
+	if m.reads == m.after {
+		m.AtomicArray.Write(m.reg, m.val)
+	}
+	return v
+}
+
+func (m *rewriteMem) ReadVersioned(i int) (register.Value, uint64) {
+	v, ver := m.AtomicArray.ReadVersioned(i)
+	m.reads++
+	if m.reads == m.after {
+		m.AtomicArray.Write(m.reg, m.val)
+	}
+	return v, ver
+}
+
+// A register rewritten between the first two collects makes them differ,
+// so the scan needs a third collect and returns the new value. The same
+// holds for the versioned scan, even when the rewrite installs an equal
+// value.
+func TestScanRewriteForcesAnotherCollect(t *testing.T) {
+	const m = 4
+	newMem := func(val register.Value) *rewriteMem {
+		mem := &rewriteMem{AtomicArray: register.NewAtomicArray(m), after: m, reg: 2, val: val}
+		for i := 0; i < m; i++ {
+			mem.AtomicArray.Write(i, &pair{i, 0})
+		}
+		return mem
+	}
+
+	mem := newMem(&pair{2, 1})
+	view, err := Scan(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mem.reads != 3*m {
+		t.Errorf("Scan read %d registers, want three collects (%d)", mem.reads, 3*m)
+	}
+	if got := *view[2].(*pair); got != (pair{2, 1}) {
+		t.Errorf("view[2] = %v, want the rewritten value", got)
+	}
+
+	mem = newMem(&pair{2, 0}) // equal contents: only the version changes
+	if _, err := ScanVersioned(mem); err != nil {
+		t.Fatal(err)
+	}
+	if mem.reads != 3*m {
+		t.Errorf("ScanVersioned read %d registers, want three collects (%d)", mem.reads, 3*m)
+	}
+}
+
+// A quiescent scan of 128 registers allocates its returned view and
+// nothing else, whichever equality it uses.
+func TestScanAllocs(t *testing.T) {
+	const m = 128
+	mem := register.NewAtomicArray(m)
+	for i := 0; i < m; i++ {
+		mem.Write(i, &pair{i, i})
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := Scan(mem); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 1 {
+		t.Errorf("Scan of %d registers: %v allocs, want 1", m, got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := ScanVersioned(mem); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 1 {
+		t.Errorf("ScanVersioned of %d registers: %v allocs, want 1", m, got)
+	}
+}

@@ -166,18 +166,25 @@ func (a *Alg) Compare(t1, t2 timestamp.Timestamp) bool {
 
 // GetTS is Algorithm 4. Line numbers in comments refer to the paper's
 // pseudocode.
+//
+//tslint:hotpath
 func (a *Alg) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error) {
 	if a.oneShot && seq != 0 {
 		return timestamp.Timestamp{}, timestamp.ErrOneShot
 	}
 	if mem.Size() < a.m {
+		//tslint:allow hotpath misconfiguration error: the object was wired to a memory too small for it
 		return timestamp.Timestamp{}, fmt.Errorf("sqrt: memory has %d registers, need %d", mem.Size(), a.m)
 	}
 	id := ID{Pid: pid, Seq: seq}
 
-	// Lines 1–4: find myrnd, the number of non-⊥ registers, collecting
-	// local views r[0..myrnd-1] along the way.
-	r := make([]*Cell, a.m)
+	// Lines 1–4: find myrnd, the number of non-⊥ registers. The paper
+	// collects the local views r[1..myrnd] along the way, but the rest of
+	// the call reads only r[myrnd] (line 7's r[myrnd].seq[j]); line 15
+	// builds its sequence from the scanned view, not from r. So only the
+	// last cell read is kept: the same reads, without an m-word view per
+	// call.
+	var last *Cell // r[myrnd]
 	j := 0
 	for {
 		if j >= a.m {
@@ -190,7 +197,7 @@ func (a *Alg) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error)
 		if v == nil {
 			break
 		}
-		r[j] = v.(*Cell)
+		last = v.(*Cell)
 		j++
 	}
 	myrnd := j // paper's myrnd; register R[myrnd+1] (paper) is mem index myrnd
@@ -207,19 +214,20 @@ func (a *Alg) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error)
 		if !ok {
 			// Registers never return to ⊥ (Claim 6.1(a)); a nil here means
 			// the memory was corrupted externally.
+			//tslint:allow hotpath corrupted-memory error: registers never return to ⊥ in a correct run
 			return timestamp.Timestamp{}, fmt.Errorf("sqrt: register %d regressed to ⊥", jj-1)
 		}
-		if a.validAt(r[myrnd-1], jj, vj) {
+		if a.validAt(last, jj, vj) {
 			// Line 7 true: R[j] is valid for this phase. Line 8: invalidate
 			// it by making last(R[j].seq) differ from r[myrnd].seq[j].
-			a.write(mem, 8, id, jj-1, &Cell{Seq: []ID{id}, Rnd: myrnd})
+			a.write(mem, 8, id, jj-1, newUnitCell(id, myrnd))
 			return timestamp.Timestamp{Rnd: int64(myrnd), Turn: int64(jj)}, nil // line 9
 		}
 		if vj.Rnd < myrnd && !a.noRepair {
 			// Line 10 true: the invalidation is due to an old write from an
 			// earlier phase; overwrite (line 11) so R[j] stays invalid for
 			// the rest of the phase.
-			a.write(mem, 11, id, jj-1, &Cell{Seq: []ID{id}, Rnd: myrnd})
+			a.write(mem, 11, id, jj-1, newUnitCell(id, myrnd))
 		}
 	}
 
@@ -227,6 +235,7 @@ func (a *Alg) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error)
 	// writes at most m−1 times, Lemma 6.14).
 	view, err := a.scan(mem)
 	if err != nil {
+		//tslint:allow hotpath scan failure: a livelocked scan or an unversioned memory, never the steady state
 		return timestamp.Timestamp{}, fmt.Errorf("sqrt: %w", err)
 	}
 	if a.tracer != nil {
@@ -236,18 +245,34 @@ func (a *Alg) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error)
 	if view[myrnd] == nil {
 		// Line 15: install R[myrnd+1] = ⟨(last(r[1].seq), …,
 		// last(r[myrnd].seq), ID), myrnd+1⟩, starting phase myrnd+1.
-		seqs := make([]ID, 0, myrnd+1)
+		seqs := make([]ID, 0, myrnd+1) //tslint:allow hotpath the published line-15 cell's sequence, once per phase
 		for k := 0; k < myrnd; k++ {
 			c, ok := view[k].(*Cell)
 			if !ok {
+				//tslint:allow hotpath corrupted-memory error: registers never return to ⊥ in a correct run
 				return timestamp.Timestamp{}, fmt.Errorf("sqrt: scanned register %d regressed to ⊥", k)
 			}
 			seqs = append(seqs, c.Last())
 		}
 		seqs = append(seqs, id)
+		//tslint:allow hotpath the published line-15 cell, once per phase
 		a.write(mem, 15, id, myrnd, &Cell{Seq: seqs, Rnd: myrnd + 1})
 	}
 	return timestamp.Timestamp{Rnd: int64(myrnd) + 1, Turn: 0}, nil // line 16
+}
+
+// unitCell holds a one-element cell together with the backing array of
+// its sequence, so the cells lines 8 and 11 publish — ⟨(ID), myrnd⟩, one
+// per writing getTS — take one allocation instead of two.
+type unitCell struct {
+	cell Cell
+	seq  [1]ID
+}
+
+func newUnitCell(id ID, rnd int) *Cell {
+	u := &unitCell{seq: [1]ID{id}} //tslint:allow hotpath the published line-8/11 cell: every write installs a fresh allocation
+	u.cell = Cell{Seq: u.seq[:], Rnd: rnd}
+	return &u.cell
 }
 
 // validAt evaluates line 7: r[myrnd].seq[j] == last(R[j].seq), where rm is
@@ -269,6 +294,7 @@ func (a *Alg) scan(mem register.Mem) ([]register.Value, error) {
 	if a.versionedScan {
 		vm, ok := mem.(register.VersionedMem)
 		if !ok {
+			//tslint:allow hotpath ablation misconfiguration error
 			return nil, fmt.Errorf("sqrt: versioned scan needs a VersionedMem, have %T", mem)
 		}
 		return snapshot.ScanVersioned(vm)
@@ -277,7 +303,7 @@ func (a *Alg) scan(mem register.Mem) ([]register.Value, error) {
 }
 
 func (a *Alg) write(mem register.Mem, line int, id ID, reg int, c *Cell) {
-	mem.Write(reg, c)
+	mem.Write(reg, c) //tslint:allow hotpath publishing the cell: a pointer in an interface word boxes without allocating
 	if a.tracer != nil {
 		a.tracer.OnWrite(WriteEvent{Line: line, Pid: id.Pid, Seq: id.Seq, Reg: reg, Rnd: c.Rnd})
 	}

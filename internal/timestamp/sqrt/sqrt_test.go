@@ -342,3 +342,33 @@ type noVersions struct{ inner register.Mem }
 func (m *noVersions) Size() int                     { return m.inner.Size() }
 func (m *noVersions) Read(i int) register.Value     { return m.inner.Read(i) }
 func (m *noVersions) Write(i int, v register.Value) { m.inner.Write(i, v) }
+
+// A getTS that invalidates a register (line 8) allocates exactly what it
+// publishes: the one-element cell, and the atomic array's version box
+// around it. Nothing per call is spent on local views.
+func TestWritingGetTSAllocs(t *testing.T) {
+	const calls, runs = 4096, 50
+	alg := NewBounded(calls)
+	mem := register.NewAtomicArray(alg.Registers())
+	pid := 0
+	// Run sequentially into a phase with more than runs+1 invalidations
+	// ahead: phase ϕ starts with a (ϕ, 0) result and ϕ−1 line-8 writers
+	// follow it.
+	for {
+		ts := mustTS(t, alg, mem, pid, 0)
+		pid++
+		if ts.Turn == 0 && ts.Rnd > runs+2 {
+			break
+		}
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		ts := mustTS(t, alg, mem, pid, 0)
+		pid++
+		if ts.Turn == 0 {
+			t.Fatalf("getTS(p%d) = %v: not a line-8 writer", pid-1, ts)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("writing getTS: %v allocs, want at most 2 (published cell + version box)", allocs)
+	}
+}
