@@ -100,6 +100,9 @@ var _ Int64Mem = (*quorumInt64Handle)(nil)
 
 func (h *quorumInt64Handle) ReadInt64(i int) (int64, bool) { return h.im.ReadInt64(i) }
 
+// MaxInt64 forwards the collect unchecked: discipline restricts writes only.
+func (h *quorumInt64Handle) MaxInt64(n int) int64 { return h.im.MaxInt64(n) }
+
 func (h *quorumInt64Handle) WriteInt64(i int, v int64) {
 	h.check(i)
 	h.im.WriteInt64(i, v)

@@ -15,13 +15,21 @@ import (
 // The capability composes like VersionedMem: a middleware layer forwards
 // Int64Mem when (and only when) its substrate provides it, so a metered or
 // write-disciplined stack over an Int64Array keeps the allocation-free
-// path end to end.
+// path end to end. Layers forward MaxInt64 as one call, so a collect
+// crosses each layer once rather than once per register.
 type Int64Mem interface {
 	Mem
 	// ReadInt64 returns the value of register i; ok is false for ⊥.
 	ReadInt64(i int) (v int64, ok bool)
 	// WriteInt64 atomically replaces the value of register i.
 	WriteInt64(i int, v int64)
+	// MaxInt64 collects registers 0..n−1 — n atomic reads in index order,
+	// the reads a ReadInt64 loop makes — and returns the largest value
+	// read, or −1 when all n are ⊥. It returns a scalar rather than
+	// filling a caller's buffer because the arguments of an interface
+	// call escape: a destination slice would move the caller's stack
+	// buffer to the heap, one allocation per collect.
+	MaxInt64(n int) int64
 }
 
 // Int64Array is a wait-free MWMR register array specialized for int64
@@ -68,6 +76,11 @@ func unpackInt64(w uint64) (int64, bool) {
 	return int64(w - 1), true
 }
 
+// maxPacked turns the largest packed word of a collect into MaxInt64's
+// result. Packing is monotone, so the largest word holds the largest
+// value, and an all-⊥ collect (largest word 0) maps to −1.
+func maxPacked(w uint64) int64 { return int64(w) - 1 }
+
 // Size returns the number of registers.
 func (a *Int64Array) Size() int { return len(a.words) }
 
@@ -84,6 +97,20 @@ func (a *Int64Array) ReadInt64(i int) (int64, bool) {
 //tslint:hotpath
 func (a *Int64Array) WriteInt64(i int, v int64) {
 	a.words[i].Store(packInt64(v))
+}
+
+// MaxInt64 collects registers 0..n−1 and returns the largest value, or
+// −1 when all are ⊥.
+//
+//tslint:hotpath
+func (a *Int64Array) MaxInt64(n int) int64 {
+	var max uint64
+	for i := range a.words[:n] {
+		if w := a.words[i].Load(); w > max {
+			max = w
+		}
+	}
+	return maxPacked(max)
 }
 
 // Read returns the current value of register i boxed as a Value (nil
@@ -146,6 +173,20 @@ func (a *ShardedInt64Array) ReadInt64(i int) (int64, bool) {
 //tslint:hotpath
 func (a *ShardedInt64Array) WriteInt64(i int, v int64) {
 	a.cells[i].w.Store(packInt64(v))
+}
+
+// MaxInt64 collects registers 0..n−1 and returns the largest value, or
+// −1 when all are ⊥.
+//
+//tslint:hotpath
+func (a *ShardedInt64Array) MaxInt64(n int) int64 {
+	var max uint64
+	for i := range a.cells[:n] {
+		if w := a.cells[i].w.Load(); w > max {
+			max = w
+		}
+	}
+	return maxPacked(max)
 }
 
 // Read returns the current value of register i boxed as a Value.

@@ -1,6 +1,8 @@
 package register
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"unsafe"
 )
@@ -70,7 +72,8 @@ func TestPaddedWordSize(t *testing.T) {
 }
 
 // The middleware stack must carry the Int64Mem capability end to end —
-// and only over substrates that have it.
+// through every layer alone and in either order — and only over
+// substrates that have it.
 func TestMiddlewarePreservesInt64Mem(t *testing.T) {
 	table := SWMRTable(2)
 	meter := NewMeterSize(2)
@@ -83,9 +86,12 @@ func TestMiddlewarePreservesInt64Mem(t *testing.T) {
 	if v, ok := im.ReadInt64(0); !ok || v != 9 {
 		t.Fatalf("scalar ops through the stack = (%d, %v)", v, ok)
 	}
+	if got := im.MaxInt64(2); got != 9 {
+		t.Fatalf("MaxInt64 through the stack = %d, want 9", got)
+	}
 	rep := meter.Report()
-	if rep.Writes != 1 || rep.Reads != 1 {
-		t.Errorf("meter missed scalar ops: %d writes / %d reads, want 1/1", rep.Writes, rep.Reads)
+	if rep.Writes != 1 || rep.Reads != 3 {
+		t.Errorf("meter missed scalar ops: %d writes / %d reads, want 1/3", rep.Writes, rep.Reads)
 	}
 
 	// The discipline still bites on the scalar path: pid 0 may not write
@@ -99,8 +105,117 @@ func TestMiddlewarePreservesInt64Mem(t *testing.T) {
 		im.WriteInt64(1, 5)
 	}()
 
+	// Every layer on its own, and both orders of the pair, keep the
+	// capability and forward the collect to the same storage.
+	base := NewInt64Array(2)
+	base.WriteInt64(1, 4)
+	for name, mem := range map[string]Mem{
+		"metered":                 Wrap(base, Metered(NewMeterSize(2))),
+		"disciplined":             Wrap(base, DisciplineFor(table, 1)),
+		"discipline inside meter": Wrap(base, DisciplineFor(table, 1), Metered(NewMeterSize(2))),
+		"meter inside discipline": Wrap(base, Metered(NewMeterSize(2)), DisciplineFor(table, 1)),
+	} {
+		im, ok := mem.(Int64Mem)
+		if !ok {
+			t.Errorf("%s: stack over Int64Array lost Int64Mem (%T)", name, mem)
+			continue
+		}
+		if got := im.MaxInt64(2); got != 4 {
+			t.Errorf("%s: MaxInt64(2) = %d, want 4", name, got)
+		}
+	}
+
 	// A generic substrate must not grow the capability.
 	if _, ok := Wrap(NewAtomicArray(2), Metered(meter)).(Int64Mem); ok {
 		t.Error("stack over AtomicArray claims Int64Mem")
+	}
+	if _, ok := Wrap(NewAtomicArray(2), DisciplineFor(table, 0)).(Int64Mem); ok {
+		t.Error("disciplined AtomicArray claims Int64Mem")
+	}
+}
+
+// loopMax is MaxInt64 spelled as the ReadInt64 loop it replaces.
+func loopMax(im Int64Mem, n int) int64 {
+	max := int64(-1)
+	for i := 0; i < n; i++ {
+		if v, ok := im.ReadInt64(i); ok && v > max {
+			max = v
+		}
+	}
+	return max
+}
+
+// MaxInt64(n) is the maximum over a ReadInt64 loop on every scalar
+// memory the SDK builds: −1 while registers 0..n−1 are all ⊥, a written 0
+// counts as a value, and registers at or past n are never looked at.
+func TestMaxInt64MatchesReadLoop(t *testing.T) {
+	const size = 6
+	for _, tc := range []struct {
+		name string
+		mem  Int64Mem
+	}{
+		{"flat", NewInt64Array(size)},
+		{"sharded", NewShardedInt64Array(size)},
+		{"metered+disciplined", Wrap(NewInt64Array(size), Metered(NewMeterSize(size)), DisciplineFor(make([][]int, size), 0)).(Int64Mem)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.mem
+			check := func(stage string) {
+				t.Helper()
+				for n := 0; n <= size; n++ {
+					if got, want := m.MaxInt64(n), loopMax(m, n); got != want {
+						t.Errorf("%s: MaxInt64(%d) = %d, ReadInt64 loop gives %d", stage, n, got, want)
+					}
+				}
+			}
+			check("all ⊥")
+			if got := m.MaxInt64(size); got != -1 {
+				t.Errorf("all ⊥: MaxInt64 = %d, want -1", got)
+			}
+			m.WriteInt64(2, 0)
+			check("written 0")
+			if got := m.MaxInt64(size); got != 0 {
+				t.Errorf("written 0: MaxInt64 = %d, want 0", got)
+			}
+			if got := m.MaxInt64(2); got != -1 {
+				t.Errorf("written 0 at r2: MaxInt64(2) = %d, want -1", got)
+			}
+			m.WriteInt64(5, 100)
+			m.WriteInt64(1, 7)
+			check("mixed")
+			if got := m.MaxInt64(5); got != 7 {
+				t.Errorf("r5 = 100 is past n = 5: MaxInt64(5) = %d, want 7", got)
+			}
+			m.WriteInt64(0, math.MaxInt64)
+			check("largest value")
+			if got := m.MaxInt64(1); got != math.MaxInt64 {
+				t.Errorf("MaxInt64(1) = %d, want MaxInt64", got)
+			}
+		})
+	}
+}
+
+// A collect through the metered layer leaves the same report as the n
+// single reads it stands for: totals, per-register counts, MaxReadIndex.
+func TestMaxInt64MeterAccounting(t *testing.T) {
+	const size = 5
+	table := SWMRTable(size)
+	bulkMeter, loopMeter := NewMeterSize(size), NewMeterSize(size)
+	bulk := Wrap(NewInt64Array(size), Metered(bulkMeter), DisciplineFor(table, 3)).(Int64Mem)
+	loop := Wrap(NewInt64Array(size), Metered(loopMeter), DisciplineFor(table, 3)).(Int64Mem)
+	for _, n := range []int{0, 2, 3, 1, 5} {
+		bulk.WriteInt64(3, int64(n))
+		loop.WriteInt64(3, int64(n))
+		bulk.MaxInt64(n)
+		for i := 0; i < n; i++ {
+			loop.ReadInt64(i)
+		}
+		got, want := bulkMeter.Report(), loopMeter.Report()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("after MaxInt64(%d): report %+v, want %+v", n, got, want)
+		}
+	}
+	if rep := bulkMeter.Report(); rep.Reads != 11 || rep.MaxReadIndex != 4 {
+		t.Errorf("final report: %d reads, max index %d; want 11, 4", rep.Reads, rep.MaxReadIndex)
 	}
 }

@@ -108,6 +108,21 @@ func (m *Meter) recordRead(i int) {
 	}
 }
 
+// recordReads records one read of each of registers 0..n−1 — a collect —
+// under a single lock acquisition; the counts are those of n recordRead
+// calls.
+func (m *Meter) recordReads(n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := range m.readCnt[:n] {
+		m.readCnt[i]++
+	}
+	m.reads += uint64(n)
+	if n-1 > m.maxRead {
+		m.maxRead = n - 1
+	}
+}
+
 func (m *Meter) recordWrite(i, pid int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -11,10 +11,15 @@ import "fmt"
 //		register.DisciplineFor(alg.WriterTable(), pid),
 //	)
 //
-// Every layer preserves the VersionedMem and Int64Mem capabilities of the
-// memory below it (and only those: a layer never *claims* versioned reads
-// or scalar operations its substrate cannot deliver, so algorithms can
-// probe with a type assertion).
+// Every layer preserves the VersionedMem capability of the memory below
+// it, and Metered and DisciplineFor preserve Int64Mem (and only those: a
+// layer never *claims* versioned reads or scalar operations its substrate
+// cannot deliver, so algorithms can probe with a type assertion). Both
+// forward Int64Mem's MaxInt64 collect as one call — metering records its
+// n reads under one lock — so a collect pays each layer once, not once per
+// register; MaxInt64 returns a scalar because a buffer passed through an
+// interface call would escape to the heap. Versioned serves the
+// deterministic scheduler, whose memory is not scalar, and drops Int64Mem.
 type Middleware func(Mem) Mem
 
 // Wrap applies mws to mem in order: the first middleware ends up closest
@@ -84,6 +89,11 @@ type meteredInt64 struct {
 func (m *meteredInt64) ReadInt64(i int) (int64, bool) {
 	m.meter.recordRead(i)
 	return m.im.ReadInt64(i)
+}
+
+func (m *meteredInt64) MaxInt64(n int) int64 {
+	m.meter.recordReads(n)
+	return m.im.MaxInt64(n)
 }
 
 func (m *meteredInt64) WriteInt64(i int, v int64) {

@@ -61,17 +61,19 @@ func (a *Alg) WriterTable() [][]int { return register.SWMRTable(a.n) }
 // Correctness: register values are per-process maxima and thus monotone
 // non-decreasing. If g1 → g2, then g2's collect starts after g1's write of
 // t1, so g2 observes max ≥ t1 and returns t2 ≥ t1+1 > t1.
+//
+//tslint:hotpath
 func (a *Alg) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error) {
 	if pid < 0 || pid >= a.n {
+		//tslint:allow hotpath caller error: the SDK hands out only pids in range
 		return timestamp.Timestamp{}, fmt.Errorf("collect: pid %d out of range [0,%d)", pid, a.n)
 	}
 	if im, ok := mem.(register.Int64Mem); ok {
-		// Scalar fast path: same algorithm, no boxing and no cell allocation.
+		// Scalar fast path: the n reads of the collect in one call, no
+		// boxing and no cell allocation. An all-⊥ collect (−1) leaves 0.
 		var max int64
-		for i := 0; i < a.n; i++ {
-			if x, ok := im.ReadInt64(i); ok && x > max {
-				max = x
-			}
+		if x := im.MaxInt64(a.n); x > max {
+			max = x
 		}
 		ts := max + 1
 		im.WriteInt64(pid, ts)
@@ -86,7 +88,7 @@ func (a *Alg) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error)
 		}
 	}
 	ts := max + 1
-	mem.Write(pid, ts)
+	mem.Write(pid, ts) //tslint:allow hotpath generic memories box every write; the SDK's scalar stack returns above
 	return timestamp.Timestamp{Rnd: ts}, nil
 }
 

@@ -119,17 +119,68 @@ func TestQuickSequentialIsCounter(t *testing.T) {
 	}
 }
 
-func BenchmarkGetTS(b *testing.B) {
-	for _, n := range []int{16, 256, 4096} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			alg := New(n)
-			mem := timestamp.NewMem(alg)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := alg.GetTS(mem, i%n, i/n); err != nil {
-					b.Fatal(err)
-				}
+// scalarStack returns the per-process memories tsspace.New builds for a
+// scalar-valued algorithm: one Int64Array shared by every process, under
+// an optional meter and the algorithm's writer discipline.
+func scalarStack(alg *Alg, procs int, metered bool) []register.Mem {
+	base := register.NewInt64Array(alg.Registers())
+	var meter register.Middleware
+	if metered {
+		meter = register.Metered(register.NewMeterSize(base.Size()))
+	}
+	mems := make([]register.Mem, procs)
+	for pid := range mems {
+		mems[pid] = register.Wrap(base, meter, register.DisciplineFor(alg.WriterTable(), pid))
+	}
+	return mems
+}
+
+// The getTS the SDK runs — through the discipline, with and without the
+// meter — allocates nothing.
+func TestScalarStackGetTSZeroAllocs(t *testing.T) {
+	const n = 64
+	alg := New(n)
+	for _, metered := range []bool{false, true} {
+		mems := scalarStack(alg, n, metered)
+		var k int
+		allocs := testing.AllocsPerRun(200, func() {
+			pid := k % n
+			if _, err := alg.GetTS(mems[pid], pid, k/n); err != nil {
+				t.Fatal(err)
 			}
+			k++
 		})
+		if allocs != 0 {
+			t.Errorf("metered=%v: GetTS allocated %.1f objects per call, want 0", metered, allocs)
+		}
+	}
+}
+
+// BenchmarkGetTS runs sequential getTS calls on the boxed AtomicArray and
+// on the scalar stacks the SDK builds (see scalarStack).
+func BenchmarkGetTS(b *testing.B) {
+	for _, stack := range []string{"boxed", "scalar", "scalar-metered"} {
+		for _, n := range []int{16, 256, 4096} {
+			b.Run(fmt.Sprintf("%s/n=%d", stack, n), func(b *testing.B) {
+				alg := New(n)
+				var mems []register.Mem
+				if stack == "boxed" {
+					mems = make([]register.Mem, n)
+					mem := timestamp.NewMem(alg)
+					for pid := range mems {
+						mems[pid] = mem
+					}
+				} else {
+					mems = scalarStack(alg, n, stack == "scalar-metered")
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := alg.GetTS(mems[i%n], i%n, i/n); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -97,18 +97,20 @@ func (a *Alg) WriterTable() [][]int { return register.SWMRTable(a.n - a.silent) 
 
 // GetTS returns (max+1, 0) for writers after publishing max+1, and
 // (max, seq+1) for the silent process(es), which never write.
+//
+//tslint:hotpath
 func (a *Alg) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error) {
 	if pid < 0 || pid >= a.n {
+		//tslint:allow hotpath caller error: the SDK hands out only pids in range
 		return timestamp.Timestamp{}, fmt.Errorf("dense: pid %d out of range [0,%d)", pid, a.n)
 	}
 	m := a.n - a.silent
 	var max int64
 	if im, ok := mem.(register.Int64Mem); ok {
-		// Scalar fast path: same algorithm, no boxing and no cell allocation.
-		for i := 0; i < m; i++ {
-			if x, ok := im.ReadInt64(i); ok && x > max {
-				max = x
-			}
+		// Scalar fast path: the m reads of the collect in one call, no
+		// boxing and no cell allocation. An all-⊥ collect (−1) leaves 0.
+		if x := im.MaxInt64(m); x > max {
+			max = x
 		}
 		if pid >= m {
 			return timestamp.Timestamp{Rnd: max, Turn: int64(seq) + 1}, nil
@@ -132,7 +134,7 @@ func (a *Alg) GetTS(mem register.Mem, pid, seq int) (timestamp.Timestamp, error)
 		return timestamp.Timestamp{Rnd: max, Turn: int64(seq) + 1}, nil
 	}
 	ts := max + 1
-	mem.Write(pid, ts)
+	mem.Write(pid, ts) //tslint:allow hotpath generic memories box every write; the SDK's scalar stack returns above
 	return timestamp.Timestamp{Rnd: ts}, nil
 }
 
