@@ -129,7 +129,7 @@ func TestCLIExamples(t *testing.T) {
 }
 
 // TestCLITsserved starts the daemon on a free port, drives it with its own
-// -smoke client mode (batched /getts + pairwise /compare + /metrics), and
+// -smoke client mode (session batches + pairwise /compare + /metrics), and
 // shuts it down.
 func TestCLITsserved(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -1,14 +1,14 @@
 // Command tsserved serves a tsspace timestamp object over HTTP/JSON: the
 // paper's getTS()/compare() object as a network service. Logical clients
-// need no process ids, sequence numbers or shared memory — they POST
-// /getts and get back a batch of timestamps; the daemon's SDK object maps
-// any number of concurrent requests onto the configured n paper-processes
-// through session leasing.
+// need no process ids, sequence numbers or shared memory — they attach a
+// session and get back batches of timestamps on it; the daemon's SDK
+// object maps any number of concurrent sessions onto the configured n
+// paper-processes through session leasing.
 //
 // Endpoints: wire v2 sessions (POST /session, POST /session/{id}/getts,
-// DELETE /session/{id}), POST /getts (deprecated single-request shim),
-// POST /compare, GET /healthz, GET /metrics (space report + throughput),
-// GET /metrics/prometheus (the same registry in text exposition format).
+// DELETE /session/{id}), POST /compare, GET /healthz, GET /metrics
+// (space report + throughput), GET /metrics/prometheus (the same
+// registry in text exposition format).
 // The namespace broker rides on top: GET /catalog lists the servable
 // algorithms, PUT/DELETE /ns/{name} provision and deprovision named
 // Objects, and every session endpoint replicates under /ns/{name}/... —
@@ -33,8 +33,8 @@
 //
 // The smoke mode is the CI gate: it leases a wire-v2 session, pipelines
 // batches on it, asserts the happens-before order across them via
-// /compare round trips (both directions), checks the deprecated
-// single-request shim agrees, and checks /metrics counted the traffic.
+// /compare round trips (both directions), adds a second lease's batch
+// after the first detaches, and checks /metrics counted the traffic.
 // The binary leg leases a wire-v3 session the same way and asserts its
 // timestamps order against the HTTP-issued stream — cross-transport
 // happens-before on one shared object. The namespace leg provisions two
@@ -178,7 +178,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tsserved: %v\n", err)
 		os.Exit(1)
 	case <-ctx.Done():
-		// SIGINT/SIGTERM: stop accepting, drain in-flight batches (a /getts
+		// SIGINT/SIGTERM: stop accepting, drain in-flight batches (a getts
 		// batch keeps its session leased until the last timestamp is
 		// issued), then exit cleanly so load runs against a local daemon
 		// always end with complete responses.
@@ -204,12 +204,28 @@ func main() {
 	}
 }
 
+// leaseBatch attaches a wire-v2 session, issues one batch of count
+// timestamps on it and detaches.
+func leaseBatch(ctx context.Context, c *tsserve.Client, count int) ([]tsspace.Timestamp, error) {
+	sess, err := c.Attach(ctx)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]tsspace.Timestamp, count)
+	n, err := sess.GetTSBatch(ctx, buf)
+	if err != nil {
+		sess.Detach()
+		return nil, err
+	}
+	return buf[:n], sess.Detach()
+}
+
 // shutdownTimeout bounds the drain: in-flight requests get this long to
 // complete before the daemon gives up and closes their connections.
 const shutdownTimeout = 5 * time.Second
 
-// runSmoke drives a wire-v2 session (two pipelined batches on one lease),
-// the deprecated single-request shim, and the /compare endpoint through a
+// runSmoke drives wire-v2 sessions (two pipelined batches on one lease,
+// one on a second lease) and the /compare endpoint through a
 // running daemon, asserting the happens-before property across the whole
 // stream with round trips in both directions. With binAddr it appends a
 // wire-v3 leg: a binary session's batch must order after every
@@ -229,7 +245,7 @@ func runSmoke(url, binAddr string) error {
 	}
 
 	// One-shot objects serve batches of one; take the stream as separate
-	// single-call requests then — each completed request happens-before the
+	// single-call leases then — each completed call happens-before the
 	// next. Their budget is n total timestamps, so cap the smoke stream at
 	// what the daemon has left (the metrics report how many calls it
 	// already served).
@@ -250,7 +266,7 @@ func runSmoke(url, binAddr string) error {
 			return fmt.Errorf("one-shot budget nearly spent (%d of %d calls served): too few timestamps left to order", m.Calls, h.Procs)
 		}
 		for i := 0; i < want; i++ {
-			one, err := c.GetTS(ctx, 1)
+			one, err := leaseBatch(ctx, c, 1)
 			if err != nil {
 				return fmt.Errorf("getts %d: %w", i, err)
 			}
@@ -258,8 +274,8 @@ func runSmoke(url, binAddr string) error {
 		}
 	} else {
 		// Wire v2: one lease, two pipelined batches (ordered within and
-		// across batches), explicit detach — then the deprecated shim
-		// appends two more, which must order after the detached session's.
+		// across batches), explicit detach — then a second lease appends
+		// two more, which must order after the detached session's.
 		sess, err := c.Attach(ctx)
 		if err != nil {
 			return fmt.Errorf("session attach: %w", err)
@@ -278,11 +294,11 @@ func runSmoke(url, binAddr string) error {
 		if _, err := sess.GetTS(ctx); !errors.Is(err, tsspace.ErrDetached) {
 			return fmt.Errorf("getts on a detached session = %v, want ErrDetached", err)
 		}
-		shim, err := c.GetTS(ctx, 2)
+		second, err := leaseBatch(ctx, c, 2)
 		if err != nil {
-			return fmt.Errorf("deprecated /getts shim: %w", err)
+			return fmt.Errorf("second lease: %w", err)
 		}
-		batch = append(batch, shim...)
+		batch = append(batch, second...)
 
 		// Wire-v3 leg: a binary session's batch must order after every
 		// timestamp issued over HTTP — both transports lease from one object.

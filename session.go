@@ -3,6 +3,7 @@ package tsspace
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -173,8 +174,7 @@ func (o *Object) reapLoop(ttl time.Duration) {
 					continue
 				}
 				if now.Sub(st.since) >= ttl {
-					s.Detach()
-					o.reaped.Add(1)
+					s.detach(true)
 					delete(state, s)
 				}
 			}
@@ -278,15 +278,16 @@ type Stats struct {
 // of SessionAPI. A session models one logical client — its GetTS and
 // GetTSBatch calls must be sequential (issue them from one goroutine, or
 // otherwise ordered); for parallelism attach more sessions. Detach and
-// the read-only methods may be called from any goroutine once the
-// operation stream has stopped. Sessions must be Detached when done so
-// their process id can serve the next client.
+// the read-only methods may be called from any goroutine; Detach waits
+// for a call in flight. Sessions must be Detached when done so their
+// process id can serve the next client.
 //
 // The hot path is lock-free: a GetTS is two atomic loads (detached flag,
-// sequence number), the algorithm's register operations, and two atomic
-// stores — no session mutex and no object-wide mutex, so sessions of the
-// same object never serialize on SDK state, only on whatever registers
-// the algorithm itself contends on.
+// sequence number), the algorithm's register operations, and four atomic
+// writes (the in-flight flag on either side of the call, the sequence
+// number, the object's call count) — no session mutex and no object-wide
+// mutex, so sessions of the same object never serialize on SDK state,
+// only on whatever registers the algorithm itself contends on.
 type Session struct {
 	obj  *Object
 	pid  int
@@ -297,6 +298,17 @@ type Session struct {
 	// the operation stream; the stream itself must be sequential.
 	seq      atomic.Int64
 	detached atomic.Bool
+	// inflight is set while a GetTS or GetTSBatch runs. A call sets it
+	// before it checks detached, and Detach sets detached before it
+	// waits for inflight to clear (both seq-cst), so a Detach — explicit
+	// or the TTL reaper's — never frees the pid under a running getTS.
+	inflight atomic.Bool
+
+	// Pad to two cache lines: Attach allocates sessions back to back,
+	// and every GetTS stores seq, so unpadded neighbours false-share.
+	// 128 bytes is also the allocator's size class, keeping each
+	// session line-aligned.
+	_ [88]byte
 }
 
 var _ SessionAPI = (*Session)(nil)
@@ -332,6 +344,17 @@ func (s *Session) ready(ctx context.Context) error {
 	return ctx.Err()
 }
 
+// begin marks the session in flight, then runs the guards; the caller
+// clears inflight when a call that passed them ends.
+func (s *Session) begin(ctx context.Context) error {
+	s.inflight.Store(true)
+	if err := s.ready(ctx); err != nil {
+		s.inflight.Store(false)
+		return err
+	}
+	return nil
+}
+
 // next issues one timestamp, advancing the session's sequence number. It
 // does not touch o.calls; callers account for the whole batch.
 func (s *Session) next() (Timestamp, error) {
@@ -357,10 +380,11 @@ func (s *Session) next() (Timestamp, error) {
 //
 //tslint:hotpath
 func (s *Session) GetTS(ctx context.Context) (Timestamp, error) {
-	if err := s.ready(ctx); err != nil {
+	if err := s.begin(ctx); err != nil {
 		return Timestamp{}, err
 	}
 	ts, err := s.next()
+	s.inflight.Store(false)
 	if err != nil {
 		return Timestamp{}, err
 	}
@@ -381,25 +405,24 @@ func (s *Session) GetTS(ctx context.Context) (Timestamp, error) {
 //
 //tslint:hotpath
 func (s *Session) GetTSBatch(ctx context.Context, dst []Timestamp) (int, error) {
-	if err := s.ready(ctx); err != nil {
+	if err := s.begin(ctx); err != nil {
 		return 0, err
 	}
 	n := 0
+	var err error
 	for n < len(dst) {
-		ts, err := s.next()
-		if err != nil {
-			if n > 0 {
-				s.obj.calls.Add(uint64(n))
-			}
-			return n, err
+		var ts Timestamp
+		if ts, err = s.next(); err != nil {
+			break
 		}
 		dst[n] = ts
 		n++
 	}
+	s.inflight.Store(false)
 	if n > 0 {
 		s.obj.calls.Add(uint64(n))
 	}
-	return n, nil
+	return n, err
 }
 
 // Detach releases the session's process id, writing the session's
@@ -408,12 +431,28 @@ func (s *Session) GetTSBatch(ctx context.Context, dst []Timestamp) (int, error) 
 // by the next Attach; on one-shot objects an id whose timestamp has been
 // issued is retired instead (recycling it could never serve another
 // GetTS), and retiring the last one trips ErrExhausted for future Attach
-// calls. Detach is idempotent, but must not race a GetTS still in flight
-// on this session (the session is one logical client; stop its operation
-// stream first).
+// calls. Detach is idempotent. A GetTS or GetTSBatch already in flight
+// finishes first — Detach waits for it, a bounded wait since the
+// algorithms are wait-free — and any later call reports ErrDetached, so
+// the pid never serves two getTS instances at once.
 func (s *Session) Detach() error {
+	s.detach(false)
+	return nil
+}
+
+// detach is Detach for the session's owner (reaped false) or the TTL
+// reaper (reaped true). A reap is counted before the pid is freed, so
+// Stats never shows a recycled pid without its reap, and only when this
+// call detached the session.
+func (s *Session) detach(reaped bool) {
 	if !s.detached.CompareAndSwap(false, true) {
-		return nil
+		return
+	}
+	if reaped {
+		s.obj.reaped.Add(1)
+	}
+	for s.inflight.Load() {
+		runtime.Gosched()
 	}
 	o := s.obj
 	seq := s.seq.Load()
@@ -427,9 +466,8 @@ func (s *Session) Detach() error {
 			close(o.exhausted)
 		}
 		o.mu.Unlock()
-		return nil
+		return
 	}
 	o.mu.Unlock()
 	o.free <- s.pid // cannot block: capacity procs, ids are unique
-	return nil
 }

@@ -159,20 +159,14 @@ func (s *Server) serveBinConn(c net.Conn) {
 	}
 }
 
-// cleanup detaches every session attached through this connection that is
-// still leased (the reaper or an explicit detach may have won already).
-// Leases released here are crash events in the flight recorder: their
-// owner vanished without detaching.
+// cleanup ends every lease attached through this connection that is
+// still in the table (the reaper or an explicit detach may have won
+// already). Leases released here are crash events in the flight
+// recorder: their owner vanished without detaching.
 func (st *binServerConn) cleanup() {
 	for id := range st.owned {
-		if ws, ok := st.s.remove(id); ok {
-			ws.mu.Lock()
-			calls := ws.sess.Calls()
-			pid := ws.sess.Pid()
-			_ = ws.sess.Detach()
-			ws.mu.Unlock()
-			st.s.met.crashReclaimed.Inc()
-			st.s.met.ring.RecordNS(obs.EventCrash, ws.ns.id, ws.idNum, int32(pid), int64(calls))
+		if ws, ok := st.s.take(nil, id); ok {
+			st.s.leave(ws, obs.EventCrash)
 		}
 	}
 }
@@ -221,11 +215,9 @@ func (st *binServerConn) getTS(payload []byte) {
 		st.writeError(binCodeBadRequest, fmt.Sprintf("count %d exceeds the batch cap %d", count, s.maxBatch))
 		return
 	}
-	ws, ok := s.lookupKey(id)
+	ws, ok := s.lookup(nil, string(id))
 	if !ok {
-		s.met.unknownSessions.Inc()
-		s.met.ring.Record(obs.EventError, sessionIDNum(string(id)), -1, int64(binCodeUnknownSession))
-		st.writeError(binCodeUnknownSession, fmt.Sprintf("unknown session %q (detached, reaped, or never attached)", id))
+		st.writeError(binCodeUnknownSession, s.rejectUnknownSession(0, string(id)))
 		return
 	}
 	// One-shot-ness is the session's namespace's property, so the check
@@ -292,27 +284,18 @@ func (st *binServerConn) attachNS(payload []byte) {
 	st.attachInto(ns, frameAttachNSOK)
 }
 
-// attachInto leases a session in ns, reserving its quota slot first so
-// a full namespace rejects with the typed quota code instead of
-// queueing for a pid.
+// attachInto leases a session in ns through the shared lease entry.
 func (st *binServerConn) attachInto(ns *namespace, okType byte) {
 	s := st.s
-	if !ns.reserve() {
-		s.met.ring.RecordNS(obs.EventError, ns.id, 0, -1, int64(binCodeQuota))
-		st.writeError(binCodeQuota, fmt.Sprintf("namespace %q: session quota %d exhausted", ns.name, ns.maxSessions))
-		return
-	}
-	sess, err := ns.obj.Attach(s.binCtx)
+	ws, err := s.enter(s.binCtx, ns, true)
 	if err != nil {
-		ns.release()
 		st.writeSDKError(err)
 		return
 	}
-	ws := s.register(ns, sess, true)
 	st.owned[ws.id] = struct{}{}
 	st.out = beginFrame(st.out[:0], okType)
 	st.out = append(st.out, ws.id...)
-	st.out = binary.AppendUvarint(st.out, uint64(sess.Pid()))
+	st.out = binary.AppendUvarint(st.out, uint64(ws.sess.Pid()))
 	st.out = binary.AppendUvarint(st.out, uint64(s.sessionTTL.Milliseconds()))
 	st.out = endFrame(st.out, 0)
 	st.write()
@@ -326,16 +309,13 @@ func (st *binServerConn) detach(payload []byte) {
 		st.writeError(binCodeBadRequest, "detach: malformed session id")
 		return
 	}
-	ws, ok := s.removeKey(id)
+	ws, ok := s.take(nil, string(id))
 	if !ok {
-		st.writeError(binCodeUnknownSession, fmt.Sprintf("unknown session %q (detached, reaped, or never attached)", id))
+		st.writeError(binCodeUnknownSession, s.rejectUnknownSession(0, string(id)))
 		return
 	}
 	delete(st.owned, ws.id)
-	ws.mu.Lock() // wait out a batch in flight, then release the pid
-	calls := ws.sess.Calls()
-	_ = ws.sess.Detach()
-	ws.mu.Unlock()
+	calls := s.leave(ws, obs.EventDetach)
 	st.out = beginFrame(st.out[:0], frameDetachOK)
 	st.out = binary.AppendUvarint(st.out, uint64(calls))
 	st.out = endFrame(st.out, 0)
@@ -394,6 +374,8 @@ func (st *binServerConn) writeError(code byte, msg string) {
 // typed errors client-side.
 func (st *binServerConn) writeSDKError(err error) {
 	switch {
+	case errors.Is(err, ErrQuota):
+		st.writeError(binCodeQuota, err.Error())
 	case errors.Is(err, tsspace.ErrExhausted) || errors.Is(err, tsspace.ErrOneShot):
 		st.writeError(binCodeExhausted, err.Error())
 	case errors.Is(err, tsspace.ErrDetached):
@@ -403,28 +385,4 @@ func (st *binServerConn) writeSDKError(err error) {
 	default:
 		st.writeError(binCodeInternal, err.Error())
 	}
-}
-
-// lookupKey is lookup for a raw id: the map access with string(id) is
-// allocation-free, which keeps the per-frame path clean.
-func (s *Server) lookupKey(id []byte) (*wireSession, bool) {
-	s.sessMu.Lock()
-	ws, ok := s.sessions[string(id)]
-	s.sessMu.Unlock()
-	return ws, ok
-}
-
-// removeKey is remove for a raw id, releasing the lease's quota slot
-// like every other removal from the session table.
-func (s *Server) removeKey(id []byte) (*wireSession, bool) {
-	s.sessMu.Lock()
-	ws, ok := s.sessions[string(id)]
-	if ok {
-		delete(s.sessions, string(id))
-	}
-	s.sessMu.Unlock()
-	if ok {
-		ws.ns.release()
-	}
-	return ws, ok
 }

@@ -207,26 +207,6 @@ func (s *RemoteSession) Detach() error {
 	return nil
 }
 
-// GetTS requests one batch of count timestamps (count < 1 means 1),
-// returned in issue order: each happens-before the next.
-//
-// Deprecated: GetTS is the v1 single-request surface, kept as a thin shim
-// over wire v2 (the daemon attaches a session, issues the batch, and
-// detaches per call). Callers issuing more than one batch should Attach a
-// RemoteSession and use GetTSBatch, which keeps the lease — and the
-// paper-process identity — across batches.
-func (c *Client) GetTS(ctx context.Context, count int) ([]tsspace.Timestamp, error) {
-	var resp GetTSResponse
-	if err := c.post(ctx, c.scoped("/getts"), GetTSRequest{Count: count}, &resp); err != nil {
-		return nil, err
-	}
-	out := make([]tsspace.Timestamp, len(resp.Timestamps))
-	for i, ts := range resp.Timestamps {
-		out[i] = ts.Timestamp()
-	}
-	return out, nil
-}
-
 // Compare asks the daemon whether t1 is ordered before t2.
 func (c *Client) Compare(ctx context.Context, t1, t2 tsspace.Timestamp) (bool, error) {
 	var resp CompareResponse

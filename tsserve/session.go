@@ -1,6 +1,7 @@
 package tsserve
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
@@ -102,11 +103,29 @@ func sessionIDNum(id string) uint64 {
 	return binary.BigEndian.Uint64(b[:])
 }
 
-// register stores a freshly attached session bound into ns (whose
-// quota slot the caller already reserved), records the attach in the
-// flight recorder, and returns the wire form. binary marks leases
+// The lease table has one way in and one way out. enter is the only
+// caller of namespace.reserve and Object.Attach; leave is the only caller
+// of Session.Detach and namespace.release. Between them a lease is found
+// by lookup and removed by take, so whichever exit wins — explicit
+// detach on either transport, TTL reap, connection drop, deprovision or
+// Close — the quota book, the pid pool and the flight recorder see the
+// lease end exactly once.
+
+// enter leases a session in ns and registers it in the table: it
+// reserves the namespace's quota slot first (so a full namespace answers
+// ErrQuota immediately instead of queueing for a pid), attaches under
+// ctx, and returns the slot if the attach fails. binary marks leases
 // attached over the wire-v3 transport.
-func (s *Server) register(ns *namespace, sess *tsspace.Session, binary bool) *wireSession {
+func (s *Server) enter(ctx context.Context, ns *namespace, binary bool) (*wireSession, error) {
+	if !ns.reserve() {
+		s.met.ring.RecordNS(obs.EventError, ns.id, 0, -1, int64(binCodeQuota))
+		return nil, fmt.Errorf("namespace %q holds its quota of %d sessions: %w", ns.name, ns.maxSessions, ErrQuota)
+	}
+	sess, err := ns.obj.Attach(ctx)
+	if err != nil {
+		ns.release()
+		return nil, err
+	}
 	id, idNum := newSessionID()
 	ws := &wireSession{id: id, idNum: idNum, sess: sess, ns: ns, binary: binary}
 	ws.last.Store(time.Now().UnixNano())
@@ -114,57 +133,87 @@ func (s *Server) register(ns *namespace, sess *tsspace.Session, binary bool) *wi
 	s.sessions[ws.id] = ws
 	s.sessMu.Unlock()
 	s.met.ring.RecordNS(obs.EventAttach, ns.id, ws.idNum, int32(sess.Pid()), 0)
-	return ws
+	return ws, nil
 }
 
-// lookupIn resolves a session id addressed through ns; the boolean is
-// false for unknown (or already reaped/detached) ids AND for ids bound
-// into a different namespace — a capability presented on the wrong
-// namespace's routes is indistinguishable from an unknown one, which
-// is what keeps namespaces isolated.
-func (s *Server) lookupIn(ns *namespace, id string) (*wireSession, bool) {
+// lookup resolves a session id; the boolean is false for unknown (or
+// already taken) ids. A non-nil ns also rejects ids bound into another
+// namespace — a capability presented on the wrong namespace's routes is
+// indistinguishable from an unknown one, which is what keeps namespaces
+// isolated. The wire-v3 transport addresses leases purely by capability
+// and passes nil. lookup does not retain id, so a caller's string(b)
+// conversion of a raw frame id stays off the heap.
+func (s *Server) lookup(ns *namespace, id string) (*wireSession, bool) {
 	s.sessMu.Lock()
 	ws, ok := s.sessions[id]
 	s.sessMu.Unlock()
-	if !ok || ws.ns != ns {
+	if !ok || (ns != nil && ws.ns != ns) {
 		return nil, false
 	}
-	return ws, ok
+	return ws, true
 }
 
-// remove deletes a session id regardless of namespace (the binary
-// transport and connection cleanup address leases purely by
-// capability), releasing its quota slot. The boolean is false if it
-// was not present.
-func (s *Server) remove(id string) (*wireSession, bool) {
+// take is lookup that also removes the lease from the table, so at most
+// one caller ever holds it for leave.
+func (s *Server) take(ns *namespace, id string) (*wireSession, bool) {
 	s.sessMu.Lock()
+	defer s.sessMu.Unlock()
 	ws, ok := s.sessions[id]
-	if ok {
-		delete(s.sessions, id)
+	if !ok || (ns != nil && ws.ns != ns) {
+		return nil, false
 	}
-	s.sessMu.Unlock()
-	if ok {
-		ws.ns.release()
-	}
-	return ws, ok
+	delete(s.sessions, id)
+	return ws, true
 }
 
-// removeIn is remove constrained to ns, for the namespace-scoped HTTP
-// detach: an id bound elsewhere reads as unknown.
-func (s *Server) removeIn(ns *namespace, id string) (*wireSession, bool) {
-	s.sessMu.Lock()
-	ws, ok := s.sessions[id]
-	if ok && ws.ns != ns {
-		ws, ok = nil, false
+// leave ends a lease take removed: it detaches the SDK session, which
+// waits out a batch in flight and recycles or retires the pid, returns
+// the namespace's quota slot, and records one flight-recorder event of
+// kind — EventDetach, EventReap or EventCrash — booking reaps and crash
+// reclaims in their counters. It returns the calls the lease issued.
+func (s *Server) leave(ws *wireSession, kind obs.EventKind) int {
+	_ = ws.sess.Detach()
+	calls := ws.sess.Calls()
+	ws.ns.release()
+	switch kind {
+	case obs.EventReap:
+		ws.ns.reaped.Add(1)
+		s.met.reaped.Inc()
+	case obs.EventCrash:
+		s.met.crashReclaimed.Inc()
 	}
-	if ok {
-		delete(s.sessions, id)
+	s.met.ring.RecordNS(kind, ws.ns.id, ws.idNum, int32(ws.sess.Pid()), int64(calls))
+	return calls
+}
+
+// sweep takes every lease match selects and ends each with leave,
+// returning how many it ended. match runs under the table lock.
+func (s *Server) sweep(match func(*wireSession) bool, kind obs.EventKind) int {
+	var ids []string
+	s.sessMu.Lock()
+	for id, ws := range s.sessions {
+		if match(ws) {
+			ids = append(ids, id)
+		}
 	}
 	s.sessMu.Unlock()
-	if ok {
-		ws.ns.release()
+	n := 0
+	for _, id := range ids {
+		if ws, ok := s.take(nil, id); ok {
+			s.leave(ws, kind)
+			n++
+		}
 	}
-	return ws, ok
+	return n
+}
+
+// rejectUnknownSession books a session-scoped request against an id the
+// table does not hold — counted in unknown_sessions and recorded as an
+// error event under nsID — and returns the message to answer with.
+func (s *Server) rejectUnknownSession(nsID uint32, id string) string {
+	s.met.unknownSessions.Inc()
+	s.met.ring.RecordNS(obs.EventError, nsID, sessionIDNum(id), -1, int64(binCodeUnknownSession))
+	return fmt.Sprintf("unknown session %q (detached, reaped, or never attached)", id)
 }
 
 // reapLoop detaches sessions whose lease has been idle past the TTL. It
@@ -186,36 +235,20 @@ func (s *Server) reapLoop() {
 	}
 }
 
-// reapIdle detaches every session idle at now, counting them in the
-// metrics. A session is idle only when no request is in flight on it
-// (TryLock) AND its last activity stamp — renewed at batch start and
-// end — is past the TTL, so a slow batch longer than the TTL is never
-// yanked and never costs the client its lease.
+// reapIdle detaches every session idle at now. A session is idle only
+// when no request is in flight on it (TryLock) AND its last activity
+// stamp — renewed at batch start and end — is past the TTL, so a slow
+// batch longer than the TTL is never yanked and never costs the client
+// its lease.
 func (s *Server) reapIdle(now time.Time) {
 	cutoff := now.Add(-s.sessionTTL).UnixNano()
-	var idle []*wireSession
-	s.sessMu.Lock()
-	for id, ws := range s.sessions {
-		if ws.last.Load() >= cutoff {
-			continue
+	s.sweep(func(ws *wireSession) bool {
+		if ws.last.Load() >= cutoff || !ws.mu.TryLock() {
+			return false // active, or a batch in flight: try again next tick
 		}
-		if !ws.mu.TryLock() {
-			continue // batch in flight: not idle, try again next tick
-		}
-		delete(s.sessions, id)
-		idle = append(idle, ws)
-	}
-	s.sessMu.Unlock()
-	for _, ws := range idle {
-		calls := ws.sess.Calls()
-		pid := ws.sess.Pid()
-		_ = ws.sess.Detach()
 		ws.mu.Unlock()
-		ws.ns.release()
-		ws.ns.reaped.Add(1)
-		s.met.reaped.Inc()
-		s.met.ring.RecordNS(obs.EventReap, ws.ns.id, ws.idNum, int32(pid), int64(calls))
-	}
+		return true
+	}, obs.EventReap)
 }
 
 // Close stops the idle reaper, shuts the binary listeners and
@@ -228,19 +261,7 @@ func (s *Server) Close() error {
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.binCancel()
 	s.closeBinary()
-	s.sessMu.Lock()
-	live := make([]*wireSession, 0, len(s.sessions))
-	for id, ws := range s.sessions {
-		delete(s.sessions, id)
-		live = append(live, ws)
-	}
-	s.sessMu.Unlock()
-	for _, ws := range live {
-		ws.mu.Lock()
-		_ = ws.sess.Detach()
-		ws.mu.Unlock()
-		ws.ns.release()
-	}
+	s.sweep(func(*wireSession) bool { return true }, obs.EventDetach)
 	s.nsMu.Lock()
 	provisioned := s.namespaces
 	s.namespaces = make(map[string]*namespace)
@@ -254,10 +275,7 @@ func (s *Server) Close() error {
 }
 
 // handleAttach is POST /session and POST /ns/{name}/session: lease an
-// SDK session in the resolved namespace for this caller. The quota
-// slot is reserved before the Object attach, so a full namespace
-// answers quota_exhausted immediately instead of queueing on the pid
-// pool.
+// SDK session in the resolved namespace for this caller.
 func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
 	ns, ok := s.requestNS(w, r)
 	if !ok {
@@ -268,23 +286,15 @@ func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
-	if !ns.reserve() {
-		s.met.ring.RecordNS(obs.EventError, ns.id, 0, -1, int64(binCodeQuota))
-		writeError(w, http.StatusTooManyRequests, CodeQuota,
-			fmt.Sprintf("namespace %q: session quota %d exhausted", ns.name, ns.maxSessions))
-		return
-	}
-	sess, err := ns.obj.Attach(r.Context())
+	ws, err := s.enter(r.Context(), ns, false)
 	if err != nil {
-		ns.release()
 		s.writeSDKError(w, r, ns, err)
 		return
 	}
-	ws := s.register(ns, sess, false)
 	writeJSON(w, http.StatusOK, AttachResponse{
 		SessionID: ws.id,
 		Namespace: ns.name,
-		Pid:       sess.Pid(),
+		Pid:       ws.sess.Pid(),
 		IdleTTLMs: s.sessionTTL.Milliseconds(),
 	})
 }
@@ -297,12 +307,9 @@ func (s *Server) handleSessionGetTS(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ws, ok := s.lookupIn(ns, r.PathValue("id"))
+	ws, ok := s.lookup(ns, r.PathValue("id"))
 	if !ok {
-		s.met.unknownSessions.Inc()
-		s.met.ring.RecordNS(obs.EventError, ns.id, sessionIDNum(r.PathValue("id")), -1, int64(binCodeUnknownSession))
-		writeError(w, http.StatusNotFound, CodeUnknownSession,
-			fmt.Sprintf("unknown session %q (detached, reaped, or never attached)", r.PathValue("id")))
+		writeError(w, http.StatusNotFound, CodeUnknownSession, s.rejectUnknownSession(ns.id, r.PathValue("id")))
 		return
 	}
 	var req GetTSRequest
@@ -353,19 +360,10 @@ func (s *Server) handleDetach(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ws, ok := s.removeIn(ns, r.PathValue("id"))
+	ws, ok := s.take(ns, r.PathValue("id"))
 	if !ok {
-		s.met.unknownSessions.Inc()
-		s.met.ring.RecordNS(obs.EventError, ns.id, sessionIDNum(r.PathValue("id")), -1, int64(binCodeUnknownSession))
-		writeError(w, http.StatusNotFound, CodeUnknownSession,
-			fmt.Sprintf("unknown session %q (detached, reaped, or never attached)", r.PathValue("id")))
+		writeError(w, http.StatusNotFound, CodeUnknownSession, s.rejectUnknownSession(ns.id, r.PathValue("id")))
 		return
 	}
-	ws.mu.Lock() // wait out a batch in flight, then release the pid
-	calls := ws.sess.Calls()
-	pid := ws.sess.Pid()
-	_ = ws.sess.Detach()
-	ws.mu.Unlock()
-	s.met.ring.RecordNS(obs.EventDetach, ws.ns.id, ws.idNum, int32(pid), int64(calls))
-	writeJSON(w, http.StatusOK, DetachResponse{Calls: calls})
+	writeJSON(w, http.StatusOK, DetachResponse{Calls: s.leave(ws, obs.EventDetach)})
 }

@@ -14,10 +14,6 @@
 //	GET    /metrics                      → space report + throughput counters
 //	                                       + per-endpoint latency percentiles
 //
-// The v1 endpoint survives as a deprecated shim over the same machinery:
-//
-//	POST /getts {"count": k}             — attach + one batch + detach
-//
 // Wire v3 is the same session surface over a persistent-connection,
 // length-prefixed binary protocol (ServeBinary / BinaryClient — see
 // binary.go for the framing), sharing the lease table, TTL reaper and
@@ -229,8 +225,7 @@ type ErrorBody struct {
 
 // ServerConfig tunes NewServer.
 type ServerConfig struct {
-	// MaxBatch caps the count of one getts request (v1 or session-scoped);
-	// values < 1 mean 1024.
+	// MaxBatch caps the count of one getts request; values < 1 mean 1024.
 	MaxBatch int
 	// SessionTTL is how long a wire session's lease may sit idle before
 	// the reaper detaches it and recycles its pid. Values <= 0 mean 60s.
@@ -336,7 +331,6 @@ func NewServer(obj *tsspace.Object, cfg ServerConfig) *Server {
 	s.mux.HandleFunc("POST /session", s.timed("attach", s.handleAttach))
 	s.mux.HandleFunc("POST /session/{id}/getts", s.timed("getts", s.handleSessionGetTS))
 	s.mux.HandleFunc("DELETE /session/{id}", s.handleDetach)
-	s.mux.HandleFunc("POST /getts", s.timed("getts", s.handleGetTS))
 	s.mux.HandleFunc("POST /compare", s.timed("compare", s.handleCompare))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -351,7 +345,6 @@ func NewServer(obj *tsspace.Object, cfg ServerConfig) *Server {
 	s.mux.HandleFunc("POST /ns/{name}/session", s.timed("attach", s.handleAttach))
 	s.mux.HandleFunc("POST /ns/{name}/session/{id}/getts", s.timed("getts", s.handleSessionGetTS))
 	s.mux.HandleFunc("DELETE /ns/{name}/session/{id}", s.handleDetach)
-	s.mux.HandleFunc("POST /ns/{name}/getts", s.timed("getts", s.handleGetTS))
 	s.mux.HandleFunc("POST /ns/{name}/compare", s.timed("compare", s.handleCompare))
 	s.mux.HandleFunc("GET /ns/{name}/healthz", s.handleHealthz)
 	go s.reapLoop()
@@ -378,62 +371,15 @@ func (s *Server) timed(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// handleGetTS is the deprecated v1 endpoint: a thin shim composing wire
-// v2's attach + one session-scoped batch + detach into a single request,
-// kept so existing clients (and the single-call Client.GetTS) keep
-// working. New callers should hold a session across batches instead.
-func (s *Server) handleGetTS(w http.ResponseWriter, r *http.Request) {
-	ns, ok := s.requestNS(w, r)
-	if !ok {
-		return
-	}
-	var req GetTSRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	count := req.Count
-	if count < 1 {
-		count = 1
-	}
-	if count > s.maxBatch {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("count %d exceeds the batch cap %d", count, s.maxBatch))
-		return
-	}
-	if ns.obj.OneShot() && count > 1 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("a one-shot object issues one timestamp per process; ask for count 1, not %d", count))
-		return
-	}
-
-	sess, err := ns.obj.Attach(r.Context())
-	if err != nil {
-		s.writeSDKError(w, r, ns, err)
-		return
-	}
-	defer sess.Detach()
-
-	buf := make([]tsspace.Timestamp, count)
-	n, err := sess.GetTSBatch(r.Context(), buf)
-	if err != nil {
-		s.writeSDKError(w, r, ns, fmt.Errorf("timestamp %d/%d: %w", n+1, count, err))
-		return
-	}
-	resp := GetTSResponse{Pid: sess.Pid(), Timestamps: make([]TS, n)}
-	for i := 0; i < n; i++ {
-		resp.Timestamps[i] = FromTimestamp(buf[i])
-	}
-	s.met.batches.Inc()
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // writeSDKError maps SDK errors to their wire codes, so clients can
 // recover typed errors via APIError.Is regardless of where in the request
 // the failure happened (attach or mid-batch). Flight-recorder events
 // carry the namespace the failure happened in.
 func (s *Server) writeSDKError(w http.ResponseWriter, r *http.Request, ns *namespace, err error) {
 	switch {
+	case errors.Is(err, ErrQuota):
+		// enter already recorded the rejection.
+		writeError(w, http.StatusTooManyRequests, CodeQuota, err.Error())
 	case errors.Is(err, tsspace.ErrExhausted) || errors.Is(err, tsspace.ErrOneShot):
 		s.met.ring.RecordNS(obs.EventError, ns.id, 0, -1, int64(binCodeExhausted))
 		writeError(w, http.StatusConflict, CodeExhausted, err.Error())

@@ -34,6 +34,19 @@ func newTestServerCfg(t *testing.T, cfg tsserve.ServerConfig, opts ...tsspace.Op
 	return tsserve.NewClient(srv.URL, srv.Client()), obj, front
 }
 
+// attachBatch leases a session, issues one batch of count timestamps on
+// it and detaches: the one-request-per-batch pattern over wire v2.
+func attachBatch(ctx context.Context, c *tsserve.Client, count int) ([]tsspace.Timestamp, error) {
+	sess, err := c.Attach(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer sess.Detach()
+	buf := make([]tsspace.Timestamp, count)
+	n, err := sess.GetTSBatch(ctx, buf)
+	return buf[:n], err
+}
+
 // A batch is issued by one session back to back, so it must be strictly
 // increasing under the object's compare — verified both client-side and
 // over the /compare endpoint.
@@ -41,7 +54,7 @@ func TestBatchedGetTSHappensBefore(t *testing.T) {
 	ctx := context.Background()
 	c, obj := newTestServer(t, tsspace.WithProcs(4), tsspace.WithMetering())
 
-	batch, err := c.GetTS(ctx, 5)
+	batch, err := attachBatch(ctx, c, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,16 +76,16 @@ func TestBatchedGetTSHappensBefore(t *testing.T) {
 	}
 }
 
-// Batches from different requests are ordered too when they do not
+// Batches from different sessions are ordered too when they do not
 // overlap: a completed batch happens-before a later one.
 func TestSequentialBatchesOrdered(t *testing.T) {
 	ctx := context.Background()
 	c, obj := newTestServer(t, tsspace.WithProcs(4))
-	first, err := c.GetTS(ctx, 3)
+	first, err := attachBatch(ctx, c, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := c.GetTS(ctx, 3)
+	second, err := attachBatch(ctx, c, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +95,7 @@ func TestSequentialBatchesOrdered(t *testing.T) {
 }
 
 // Concurrent clients funnel through the object's pid pool: more clients
-// than pids must still all be served.
+// than pids must still all be served, their attaches queueing for a pid.
 func TestConcurrentClientsOverFewPids(t *testing.T) {
 	ctx := context.Background()
 	c, _ := newTestServer(t, tsspace.WithProcs(2))
@@ -91,7 +104,7 @@ func TestConcurrentClientsOverFewPids(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.GetTS(ctx, 2); err != nil {
+			if _, err := attachBatch(ctx, c, 2); err != nil {
 				t.Errorf("client: %v", err)
 			}
 		}()
@@ -112,15 +125,15 @@ func TestOneShotSemanticsOverTheWire(t *testing.T) {
 
 	// Batches are rejected up front on one-shot objects.
 	var apiErr *tsserve.APIError
-	if _, err := c.GetTS(ctx, 2); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+	if _, err := attachBatch(ctx, c, 2); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
 		t.Fatalf("one-shot batch err = %v, want 400", err)
 	}
 
-	t1, err := c.GetTS(ctx, 1)
+	t1, err := attachBatch(ctx, c, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := c.GetTS(ctx, 1)
+	t2, err := attachBatch(ctx, c, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +142,7 @@ func TestOneShotSemanticsOverTheWire(t *testing.T) {
 	}
 
 	// Budget spent: the typed exhaustion error crosses the wire.
-	_, err = c.GetTS(ctx, 1)
+	_, err = attachBatch(ctx, c, 1)
 	if !errors.Is(err, tsspace.ErrExhausted) {
 		t.Errorf("exhausted err = %v, want ErrExhausted via APIError.Is", err)
 	}
@@ -152,7 +165,7 @@ func TestHealthzAndMetricsShape(t *testing.T) {
 		t.Error("health missing the catalog summary")
 	}
 
-	if _, err := c.GetTS(ctx, 1); err != nil {
+	if _, err := attachBatch(ctx, c, 1); err != nil {
 		t.Fatal(err)
 	}
 	m, err := c.Metrics(ctx)
@@ -184,10 +197,15 @@ func TestMetricsEndpointLatency(t *testing.T) {
 	}
 
 	const batches = 20
+	sess, err := c.Attach(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Detach()
 	var first, last tsspace.Timestamp
+	ts := make([]tsspace.Timestamp, 2)
 	for i := 0; i < batches; i++ {
-		ts, err := c.GetTS(ctx, 2)
-		if err != nil {
+		if _, err := sess.GetTSBatch(ctx, ts); err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
@@ -445,17 +463,25 @@ func TestDefaultClientReusesConnections(t *testing.T) {
 func TestRequestValidation(t *testing.T) {
 	c, obj := newTestServer(t, tsspace.WithProcs(2))
 	srvURL := strings.TrimSuffix(clientBase(c), "/")
+	sess, err := c.Attach(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Detach()
+	getts := "/session/" + sess.ID() + "/getts"
 
 	cases := []struct {
 		name, method, path, body string
 		wantStatus               int
 	}{
-		{"oversized batch", "POST", "/getts", `{"count": 17}`, http.StatusBadRequest},
-		{"negative count means 1", "POST", "/getts", `{"count": -3}`, http.StatusOK},
-		{"empty body means 1", "POST", "/getts", ``, http.StatusOK},
-		{"unknown field", "POST", "/getts", `{"size": 2}`, http.StatusBadRequest},
+		{"oversized batch", "POST", getts, `{"count": 17}`, http.StatusBadRequest},
+		{"negative count means 1", "POST", getts, `{"count": -3}`, http.StatusOK},
+		{"empty body means 1", "POST", getts, ``, http.StatusOK},
+		{"unknown field", "POST", getts, `{"size": 2}`, http.StatusBadRequest},
 		{"malformed json", "POST", "/compare", `{`, http.StatusBadRequest},
-		{"wrong method getts", "GET", "/getts", ``, http.StatusMethodNotAllowed},
+		{"wrong method getts", "GET", getts, ``, http.StatusMethodNotAllowed},
+		{"no sessionless getts", "POST", "/getts", ``, http.StatusNotFound},
+		{"no sessionless namespace getts", "POST", "/ns/default/getts", ``, http.StatusNotFound},
 		{"wrong method healthz", "POST", "/healthz", ``, http.StatusMethodNotAllowed},
 		{"unknown path", "GET", "/nope", ``, http.StatusNotFound},
 	}
